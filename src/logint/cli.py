@@ -112,10 +112,9 @@ def cmd_lnx(args) -> list:
 
 def cmd_cauchy(args) -> list:
     scale = 1.0 if args.units == "nats" else 1.0 / LN2
-    cfg = QuadConfig(rel_tol=1e-9, abs_tol=1e-11)
 
     def row(n):
-        h = cauchy.multivariate_cauchy_entropy(n, cfg) * scale
+        h = cauchy.multivariate_cauchy_entropy(n) * scale
         return f"{n},{_fmt(h, args.precision)},{_fmt(h / n, args.precision)}"
 
     return ["n,entropy,normalized_entropy"] + _map_rows(row, range(1, args.n_max + 1))

@@ -6,9 +6,17 @@ Everything here rests on the identity
 
 which trades the expectation of a logarithm for the usually easier MGF:
 E{ln X} = int [e^{-u} - M_X(-u)] du/u.  Sums of n i.i.d. terms raise the
-MGF to the n-th power, second moments turn the single integral into a
-double one over MGF covariances, and the power trick ln x = ln(x^s)/s
-lets a tractable MGF of X^s stand in for an intractable one of X.
+MGF to the n-th power, and the power trick ln x = ln(x^s)/s lets a
+tractable MGF of X^s stand in for an intractable one of X.
+
+Second moments stay one-dimensional too.  Differentiating
+Gamma(s)(1 - x^{-s}) = int (e^{-u} - e^{-ux}) u^{s-1} du at s = 0 gives
+
+    int (e^{-u} - e^{-ux}) (gamma + ln u) / u du = -(ln x)^2 / 2,
+
+so E{ln^2 X} is one integral against M(-u); a variance is that second
+moment of the variable centred on its log-mean.  Only covariances of
+two different variables need the double integral over the joint MGF.
 
 The sample space is never integrated over; callers supply MgfSpec
 objects whose m(-u) must be evaluable on u in (0, inf).  Commutability
@@ -28,7 +36,7 @@ from .errors import DomainError
 from .mgf import JointMgfSpec, MgfSpec
 from .quadrature import (QuadConfig, integrate_semi_infinite,
                          integrate_semi_infinite_2d, require_converged)
-from .special import ln_gamma
+from .special import EULER_GAMMA, ln_gamma
 
 __all__ = [
     "expect_ln",
@@ -99,32 +107,40 @@ def expect_ln1p(x_mgf: MgfSpec, cfg: QuadConfig | None = None) -> float:
 
 
 def var_ln1p(x_mgf: MgfSpec, cfg: QuadConfig | None = None) -> float:
-    """Var{ln(1+X)} as the double integral of
-    e^{-(u+v)} [m(-u-v) - m(-u) m(-v)] / (uv) over the positive quadrant."""
-    _check_mgf_domain(x_mgf)
-
-    def f(u, v):
-        return np.exp(-(u + v)) * (x_mgf.m(-u - v) - x_mgf.m(-u) * x_mgf.m(-v)) / (u * v)
-
-    return require_converged(integrate_semi_infinite_2d(f, cfg),
-                             f"var_ln1p({x_mgf.label})")
+    """Var{ln(1+X)} for nonnegative X; 1+X has MGF e^t m(t)."""
+    mean = expect_ln1p(x_mgf, cfg)
+    return _centred_var_ln(lambda t: np.exp(t) * x_mgf.m(t), mean, cfg,
+                           f"var_ln1p({x_mgf.label})")
 
 
 def var_ln(x_power_mgf: MgfSpec, s: float, cfg: QuadConfig | None = None) -> float:
-    """Var{ln X} = (1/s^2) * double integral of Cov{e^{-uX^s}, e^{-vX^s}} / (uv).
+    """Var{ln X} = Var{ln X^s} / s^2.
 
     x_power_mgf is the MGF of X^s; X must be strictly positive so that
     m(-u) decays and the integral converges.
     """
-    _check_mgf_domain(x_power_mgf)
     _check_s_positive(s)
-
-    def f(u, v):
-        return (x_power_mgf.m(-u - v) - x_power_mgf.m(-u) * x_power_mgf.m(-v)) / (u * v)
-
-    val = require_converged(integrate_semi_infinite_2d(f, cfg),
-                            f"var_ln({x_power_mgf.label})")
+    mean = expect_ln(x_power_mgf, cfg)
+    val = _centred_var_ln(x_power_mgf.m, mean, cfg, f"var_ln({x_power_mgf.label})")
     return val / (s * s)
+
+
+def _centred_var_ln(z_m, mean: float, cfg: QuadConfig | None, what: str) -> float:
+    """Var{ln Z} from the MGF z_m of Z and mean ~ E{ln Z}.
+
+    The (gamma + ln u) kernel of the module docstring, applied to
+    Z' = e^{-mean} Z, integrates to -E{ln^2 Z'}/2 = -(Var{ln Z} + d^2)/2
+    with d = E{ln Z} - mean: the variance itself, with no
+    E{ln^2} - (E ln)^2 cancellation, and an error in mean enters only
+    squared.  Centring also puts the integrand's features on an O(1)
+    scale, whatever the scale of Z.
+    """
+    c = math.exp(-mean)
+
+    def f(u):
+        return (np.exp(-u) - z_m(-c * u)) * (EULER_GAMMA + np.log(u)) / u
+
+    return -2.0 * require_converged(integrate_semi_infinite(f, cfg), what)
 
 
 def cov_ln(joint: JointMgfSpec, s: float, cfg: QuadConfig | None = None) -> float:

@@ -76,7 +76,6 @@ class QuadConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
-    tail_cut_threshold: float = 1e-300
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
@@ -85,8 +84,6 @@ class QuadConfig:
             raise DomainError(f"abs_tol must be > 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise DomainError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-        if self.tail_cut_threshold < 0.0:
-            raise DomainError("tail_cut_threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -254,12 +251,10 @@ def integrate_semi_infinite(f: Callable, cfg: QuadConfig | None = None,
     integrable tail.  It is called with numpy arrays of abscissae.
     """
     cfg = QuadConfig() if cfg is None else cfg
-    cut = cfg.tail_cut_threshold
 
     def g(t):
         u = _from_unit(t)
         y = np.broadcast_to(np.asarray(f(u), dtype=float), u.shape)
-        y = np.where(np.abs(y) <= cut, 0.0, y)
         # two-stage division delays overflow of the 1/t^2 Jacobian; the
         # where() keeps 0 * inf from producing NaN at rounded endpoints
         ts = np.where(t > 0.0, t, 1.0)

@@ -6,11 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from logint.cauchy import (GenCauchyModel, diff_entropy, gsum_mgf,
-                           multivariate_cauchy_entropy, normalizer_cn,
-                           partition_z)
+from logint.cauchy import (GenCauchyModel, _bracket_integral, diff_entropy,
+                           gsum_mgf, multivariate_cauchy_entropy,
+                           normalizer_cn, partition_z)
 from logint.errors import DomainError
-from logint.quadrature import QuadConfig, integrate_semi_infinite
+from logint.oracles import digamma
+from logint.quadrature import (QuadConfig, integrate_semi_infinite,
+                               integrate_semi_infinite_2d, require_converged)
+from logint.special import ln_gamma
 
 SWEEP_CFG = QuadConfig(rel_tol=1e-8, abs_tol=1e-10)
 
@@ -110,6 +113,13 @@ class TestEntropy:
         m = GenCauchyModel(2.0, (n + 1) / 2.0, n)
         assert abs(diff_entropy(m) - multivariate_cauchy_entropy(n)) <= 1e-8
 
+    def test_large_n_closed_form(self):
+        # C_n = Gamma(q)/pi^q overflows a float at n = 1000; the entropy must not
+        n = 1000
+        q = (n + 1) / 2.0
+        closed = q * (digamma(q) - digamma(0.5)) - (ln_gamma(q) - q * math.log(math.pi))
+        assert abs(multivariate_cauchy_entropy(n) - closed) <= 1e-9 * closed
+
     def test_tolerance_tightening_invariance(self):
         loose = QuadConfig(rel_tol=1e-8, abs_tol=1e-10)
         tight = QuadConfig(rel_tol=1e-9, abs_tol=1e-11)
@@ -123,7 +133,7 @@ class TestEntropy:
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
     def test_dimension_independent_cost(self):
-        # same two quadrature axes whatever n is; runtime must not scale with n
+        # one quadrature axis whatever n is; runtime must not scale with n
         t0 = time.perf_counter()
         multivariate_cauchy_entropy(2, SWEEP_CFG)
         t_small = time.perf_counter() - t0
@@ -131,3 +141,46 @@ class TestEntropy:
         multivariate_cauchy_entropy(100, SWEEP_CFG)
         t_large = time.perf_counter() - t0
         assert t_large <= 5.0 * t_small + 0.5
+
+
+def paper_entropy_2d(model):
+    """The paper's form: q/Gamma(q - n/theta) times the double integral
+    int int t^alpha e^{-(t+u)}/u [1 - (t/(t+u))^{n/theta}] dt du, minus ln C_n.
+
+    Iterated with u = r t and t = x^kappa/(1+r), kappa = 1/(1+alpha) when
+    alpha < 0 (t = x/(1+r) otherwise), which keeps both axes on an O(1)
+    scale and flattens the t^alpha endpoint.
+    """
+    q, th, n = model.q, model.theta, model.n
+    alpha = q - 1.0 - n / th
+    kappa = 1.0 / (1.0 + alpha) if alpha < 0.0 else 1.0
+
+    def f(r, x):
+        bracket = -np.expm1(-(n / th) * np.log1p(r))
+        outer_part = bracket / (r * (1.0 + r) ** (1.0 + alpha))
+        if alpha < 0.0:
+            return outer_part * kappa * np.exp(-(x ** kappa))
+        return outer_part * x ** alpha * np.exp(-x)
+
+    integral = require_converged(integrate_semi_infinite_2d(f), "2-D bracket")
+    return (q * math.exp(-ln_gamma(q - n / th)) * integral
+            - math.log(normalizer_cn(model)))
+
+
+class TestPaperForm:
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_2d_bracket_matches_multivariate(self, n):
+        model = GenCauchyModel(2.0, (n + 1) / 2.0, n)
+        assert abs(multivariate_cauchy_entropy(n) - paper_entropy_2d(model)) <= 1e-9
+
+    def test_2d_bracket_matches_alpha_half(self):
+        model = GenCauchyModel(2.5, 1.5 + 2 / 2.5, 2)
+        assert abs(diff_entropy(model) - paper_entropy_2d(model)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha, m_exp", [(-0.5, 0.5), (-0.5, 500.0), (-0.8, 1.0),
+                                              (0.5, 1.2), (2.0, 0.7), (10.0, 3.0)])
+    def test_bracket_digamma_closed_form(self, alpha, m_exp):
+        # with y = 1/(1+r) the bracket is int_0^1 y^alpha (1 - y^m)/(1 - y) dy
+        closed = digamma(1.0 + alpha + m_exp) - digamma(1.0 + alpha)
+        val = _bracket_integral(alpha, m_exp, None, "bracket")
+        assert abs(val - closed) <= 1e-9 * max(1.0, closed)

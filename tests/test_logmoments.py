@@ -14,11 +14,26 @@ from logint.mgf import (JointMgfSpec, MgfSpec, constant_mgf, exponential_mgf,
                         simo_gain_mgf, uniform01_mgf)
 from logint.oracles import (McConfig, digamma, exponential_sampler,
                             mc_expect_ln, trigamma)
-from logint.quadrature import QuadConfig
+from logint.quadrature import integrate_semi_infinite_2d, require_converged
 from logint.simo import SimoChannel, capacity_variance
 from logint.special import exp_integral_e1
 
 MC10M = McConfig(trials=10_000_000, seed=987654321)
+
+
+def gamma_mgf(k):
+    # Gamma(k, 1) as the sum of k unit exponentials
+    return product_mgf([exponential_mgf()] * k)
+
+
+def paper_var_ln_2d(z_m):
+    """The paper's form: Var{ln Z} as the double integral of the MGF
+    covariance [m(-u-v) - m(-u) m(-v)] / (uv) over the positive quadrant."""
+
+    def f(u, v):
+        return (z_m(-u - v) - z_m(-u) * z_m(-v)) / (u * v)
+
+    return require_converged(integrate_semi_infinite_2d(f), "2-D variance")
 
 
 class TestExpectLn:
@@ -101,6 +116,13 @@ class TestVarLn1p:
         mc_var = est.mean - mean * mean
         assert abs(val - mc_var) <= 3.0 * est.std_error
 
+    @pytest.mark.parametrize("spec", [exponential_mgf(), uniform01_mgf()],
+                             ids=["exponential", "uniform"])
+    def test_matches_paper_2d_form(self, spec):
+        # 1+X has MGF e^t m(t)
+        paper = paper_var_ln_2d(lambda t: np.exp(t) * spec.m(t))
+        assert abs(var_ln1p(spec) - paper) <= 1e-9
+
     def test_matches_simo_variance(self):
         rho = 1.0
         gain_sum = product_mgf([simo_gain_mgf(0.5, rho), simo_gain_mgf(1.0, rho)])
@@ -117,11 +139,20 @@ class TestVarLn:
         assert abs(var_ln(exponential_mgf(), 1.0) - trigamma(1.0)) <= 1e-8
 
     def test_chi_square_one_dof(self):
-        # Var{ln chi^2_1} = psi'(1/2) = pi^2/2; relaxed tolerances keep the
-        # deep algebraic-tail splitting affordable
-        cfg = QuadConfig(rel_tol=1e-7, abs_tol=1e-9)
-        val = var_ln(gaussian_square_mgf(), 1.0, cfg)
-        assert abs(val - trigamma(0.5)) <= 5e-6
+        # Var{ln chi^2_1} = psi'(1/2) = pi^2/2
+        val = var_ln(gaussian_square_mgf(), 1.0)
+        assert abs(val - trigamma(0.5)) <= 1e-8
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_paper_2d_form(self, k):
+        spec = gamma_mgf(k)
+        assert abs(var_ln(spec, 1.0) - paper_var_ln_2d(spec.m)) <= 1e-9
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_scale_invariance(self, k, c):
+        # Var{ln cX} = Var{ln X} = psi'(k) for X ~ Gamma(k), whatever c is
+        assert abs(var_ln(scale_mgf(gamma_mgf(k), c), 1.0) - trigamma(k)) <= 1e-8
 
 
 def independent_joint(x, y):
