@@ -21,8 +21,9 @@ Gamma(1+alpha)/(1+r)^{1+alpha}, and Gamma(1+alpha) cancels the prefactor
 
     h = q * int [1 - (1+r)^{-n/theta}] / (r (1+r)^{1+alpha}) dr - ln C_n,
 
-whose removable point r = 0 is kept benign by evaluating the bracket as
--expm1(-(n/theta) log1p(r)).
+whose removable point r = 0 is kept benign by evaluating the bracket
+through expm1 and log1p, and whose r^{-(2+alpha)} tail is made w^{-2}
+by the substitution 1+r = (1+w)^{1/(1+alpha)} when alpha < 0.
 """
 
 from __future__ import annotations
@@ -80,11 +81,15 @@ def _z_coef(model: GenCauchyModel) -> float:
     return 2.0 * math.exp(ln_gamma(1.0 / model.theta)) / model.theta
 
 
+def _kappa(alpha: float) -> float:
+    # substitution exponent that flattens a t^alpha endpoint, alpha > -1
+    return 1.0 / (1.0 + alpha) if alpha < 0.0 else 1.0
+
+
 def _t_axis(model: GenCauchyModel):
-    # substitution exponent for the t^alpha endpoint: t = w^kappa
+    # t = w^kappa
     alpha = model.q - 1.0 - model.n / model.theta
-    kappa = 1.0 / (1.0 + alpha) if alpha < 0.0 else 1.0
-    return alpha, kappa
+    return alpha, _kappa(alpha)
 
 
 def _ln_normalizer(model: GenCauchyModel) -> float:
@@ -160,9 +165,24 @@ def multivariate_cauchy_entropy(n: int, cfg: QuadConfig | None = None) -> float:
 
 def _bracket_integral(alpha: float, m_exp: float, cfg: QuadConfig | None,
                       what: str) -> float:
-    """int [1 - (1+r)^{-m_exp}] / (r (1+r)^{1+alpha}) dr over [0, inf)."""
+    """int [1 - (1+r)^{-m_exp}] / (r (1+r)^{1+alpha}) dr over [0, inf).
 
-    def f(r):
-        return -np.expm1(-m_exp * np.log1p(r)) / (r * (1.0 + r) ** (1.0 + alpha))
+    Integrated over w with 1+r = (1+w)^kappa, where the tail is w^{-2}.
+    The integrand in w changes shape at w ~ 1/kappa and at w ~ 1; the
+    engine runs over x = w sqrt(kappa), which puts its map's midpoint
+    between the two: without that, alpha = -0.9999 comes back converged
+    but up to 5e-4 off.  For alpha >= 0, kappa = 1 and x = w = r.
+    """
+    kappa = _kappa(alpha)
+    root_kappa = math.sqrt(kappa)
+
+    def f(x):
+        # with L = ln(1+w): kappa (1 - e^{-m kappa L}) e^{-(1 + kappa alpha) L}
+        # / (e^{kappa L} - 1) dw, with e^{kappa L} divided out so nothing
+        # overflows when kappa is large
+        ln1w = np.log1p(x / root_kappa)
+        return (root_kappa * -np.expm1(-m_exp * kappa * ln1w)
+                * np.exp(-(1.0 + kappa * (1.0 + alpha)) * ln1w)
+                / -np.expm1(-kappa * ln1w))
 
     return require_converged(integrate_semi_infinite(f, cfg), what)

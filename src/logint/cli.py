@@ -9,8 +9,8 @@ and spread vs n), kt (Krichevsky-Trofimov redundancy growth), validate
 All library values are nats; --units bits divides by ln 2 (ln^2 2 for
 variances) exactly once at output.  empent defaults to bits to match
 its customary presentation, kt always reports nats (its slope-1/2 law
-is a statement about nats vs ln n).  Sweeps respect LOGINT_THREADS for
-row-level parallelism and always emit rows in ascending grid order.
+is a statement about nats vs ln n).  Sweeps always emit rows in
+ascending grid order.
 
 Exit codes: 0 success, 1 usage error, 2 numerical non-convergence,
 3 validation failure.
@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,22 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LOGINT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_rows(fn, items):
-    workers = _thread_count()
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -117,7 +99,7 @@ def cmd_cauchy(args) -> list:
         h = cauchy.multivariate_cauchy_entropy(n) * scale
         return f"{n},{_fmt(h, args.precision)},{_fmt(h / n, args.precision)}"
 
-    return ["n,entropy,normalized_entropy"] + _map_rows(row, range(1, args.n_max + 1))
+    return ["n,entropy,normalized_entropy"] + [row(n) for n in range(1, args.n_max + 1)]
 
 
 def cmd_simo(args) -> list:
@@ -136,7 +118,7 @@ def cmd_simo(args) -> list:
         return f"{db:g},{_fmt(cap, args.precision)}"
 
     header = "snr_db,capacity,variance" if args.with_variance else "snr_db,capacity"
-    return [header] + _map_rows(row, grid)
+    return [header] + [row(db) for db in grid]
 
 
 def cmd_avs(args) -> list:
@@ -151,7 +133,7 @@ def cmd_avs(args) -> list:
                 f"{_fmt((mean_hb - base) * scale, args.precision)},{at_limit}")
 
     return ["n,expected_hb_mean,redundancy,at_limit"] + \
-        _map_rows(row, range(1, args.n_max + 1))
+        [row(n) for n in range(1, args.n_max + 1)]
 
 
 def cmd_empent(args) -> list:
@@ -170,7 +152,7 @@ def cmd_empent(args) -> list:
         std = math.sqrt(max(var, 0.0)) * scale
         return f"{n},{_fmt(gap, args.precision)},{_fmt(std, args.precision)}"
 
-    return [f"n,one_minus_mean_{suffix},std_{suffix}"] + _map_rows(row, n_list)
+    return [f"n,one_minus_mean_{suffix},std_{suffix}"] + [row(n) for n in n_list]
 
 
 def cmd_kt(args) -> list:
@@ -181,7 +163,7 @@ def cmd_kt(args) -> list:
         return (f"{n},{_fmt(math.log(n), args.precision)},"
                 f"{_fmt(n * rn, args.precision)}")
 
-    return ["n,ln_n,n_times_Rn_nats"] + _map_rows(row, range(1, args.n_max + 1))
+    return ["n,ln_n,n_times_Rn_nats"] + [row(n) for n in range(1, args.n_max + 1)]
 
 
 def _core_checks(trials: int, seed: int):

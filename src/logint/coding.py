@@ -143,11 +143,14 @@ def avs_redundancy(x_mgf: MgfSpec, n: int, cfg: QuadConfig | None = None) -> flo
     return expected_hb_mean_iid(x_mgf, n, cfg) - expected_hb(x_mgf, cfg)
 
 
-def phi_kernel(dms: DmsModel, n: int, x_index: int, t):
+def phi_kernel(dms: DmsModel, n: int, x_index, t):
     """Empirical-frequency MGF phi_n(x,t) = [1-P+P e^{t/n}]^n of letter x,
-    returned with its first two t-derivatives."""
+    returned with its first two t-derivatives.
+
+    x_index may be an integer array; it broadcasts against t.
+    """
     _check_n(n)
-    p = dms.probs[x_index]
+    p = np.asarray(dms.probs)[x_index]
     t = np.asarray(t, dtype=float)
     e = np.exp(t / n)
     base = 1.0 - p + p * e
@@ -157,14 +160,21 @@ def phi_kernel(dms: DmsModel, n: int, x_index: int, t):
     return value, d1, d2
 
 
-def psi_kernel(dms: DmsModel, n: int, x_index: int, xp_index: int, s, t):
+def psi_kernel(dms: DmsModel, n: int, x_index, xp_index, s, t):
     """Joint empirical-frequency MGF psi_n(x,x',s,t) of two distinct letters,
-    returned with its mixed second derivative."""
+    returned with its mixed second derivative.
+
+    x_index and xp_index may be integer arrays of letter pairs; they
+    broadcast against s and t, and every pair must be distinct.
+    """
     _check_n(n)
-    if x_index == xp_index:
-        raise SameLetterError(f"psi_kernel needs distinct letters, got index {x_index} twice")
-    p = dms.probs[x_index]
-    pp = dms.probs[xp_index]
+    same = np.asarray(x_index) == np.asarray(xp_index)
+    if same.any():
+        twice = np.broadcast_to(x_index, same.shape)[same][0]
+        raise SameLetterError(f"psi_kernel needs distinct letters, got index {twice} twice")
+    probs = np.asarray(dms.probs)
+    p = probs[x_index]
+    pp = probs[xp_index]
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     es = np.exp(s / n)
@@ -236,32 +246,14 @@ def _bss_var_integrand(n: int):
 
 
 def _general_var_integrand(dms: DmsModel, n: int):
-    probs = np.array(dms.probs)
-
-    def phi2_sum(r):
-        e = np.exp(r / n)
-        acc = 0.0
-        for p in probs:
-            base = 1.0 - p + p * e
-            acc = acc + (p * e / n) * base ** (n - 2) * (1.0 - p + n * p * e)
-        return acc
-
-    def psi2_sum(s, t):
-        if n == 1:
-            return 0.0
-        es = np.exp(s / n)
-        et = np.exp(t / n)
-        acc = 0.0
-        for i, p in enumerate(probs):
-            for j, pp in enumerate(probs):
-                if i == j:
-                    continue
-                base = 1.0 - p * (1.0 - es) - pp * (1.0 - et)
-                acc = acc + (1.0 - 1.0 / n) * p * pp * es * et * base ** (n - 2)
-        return acc
+    # z(r, s, t) = sum_x phi''(x, r) + sum_{x != x'} psi_st(x, x', s, t),
+    # with letters (and ordered pairs of distinct letters) on axis 0
+    letters = np.arange(dms.alphabet_size)[:, None]
+    i, j = np.nonzero(letters != letters.T)
 
     def z(r, s, t):
-        return phi2_sum(r) + psi2_sum(s, t)
+        return (phi_kernel(dms, n, letters, r)[2].sum(axis=0)
+                + psi_kernel(dms, n, i[:, None], j[:, None], s, t)[1].sum(axis=0))
 
     z0 = z(0.0, 0.0, 0.0)
 

@@ -176,17 +176,6 @@ def _score(y, h: float):
     return k15, err
 
 
-def _panel(g, a: float, b: float, axis: str):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _XK
-    y = np.broadcast_to(np.asarray(g(x), dtype=float), x.shape)
-    if not np.isfinite(y).all():
-        bad = x[~np.isfinite(y)][0]
-        raise NonFiniteIntegrandError(float(_from_unit(np.asarray(bad))), axis=axis)
-    return _score(y, h)
-
-
 def _panel_pair(g, a: float, mid: float, b: float, axis: str):
     # both children of a bisected panel in one integrand call
     c1 = 0.5 * (a + mid)
@@ -202,15 +191,19 @@ def _panel_pair(g, a: float, mid: float, b: float, axis: str):
 
 
 def _adaptive(g, a: float, b: float, cfg: QuadConfig, axis: str) -> QuadResult:
-    val, err = _panel(g, a, b, axis)
-    heap = [(-err, 0, a, b, val, err)]
+    # the root is bisected up front, which saves the integrand call that
+    # scoring it whole would take; it counts as the first subdivision
+    mid = 0.5 * (a + b)
+    v1, e1, v2, e2 = _panel_pair(g, a, mid, b, axis)
+    heap = [(-e1, 0, a, mid, v1, e1), (-e2, 1, mid, b, v2, e2)]
+    heapq.heapify(heap)
     frozen_vals: list[float] = []  # panels too narrow to bisect further
     frozen_errs: list[float] = []
     # running totals steer the loop; exact fsum totals decide the result,
     # so the converged/error contract is immune to accumulation drift
-    total_v, total_e = val, err
-    seq = 1
-    splits = 0
+    total_v, total_e = v1 + v2, e1 + e2
+    seq = 2
+    splits = 1
 
     def _totals():
         vals = [p[4] for p in heap] + frozen_vals

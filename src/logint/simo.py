@@ -1,31 +1,39 @@
 """Ergodic capacity and log-capacity variance of the Rayleigh SIMO channel.
 
 With L receive antennas, i.i.d. circularly-symmetric complex Gaussian
-transfer coefficients of variances sigma_l^2, and SNR rho, the capacity
-E{ln(1 + rho sum |h_l|^2)} reduces to
+transfer coefficients of variances sigma_l^2, and SNR rho, the summed
+gain X = rho sum |h_l|^2 has the MGF prod_l 1/(1 - t rho sigma_l^2),
+so the capacity C = E{ln(1 + X)} is logmoments.expect_ln1p of that
+product MGF:
 
-    C = int_0^inf e^{-x/rho}/x * (1 - prod_l 1/(1 + sigma_l^2 x)) dx
+    C = int_0^inf e^{-u}/u * (1 - prod_l 1/(1 + u rho sigma_l^2)) du.
 
-because the gain sum's MGF factorises into per-antenna terms
-1/(1 + u rho sigma_l^2).  With distinct variances, partial fractions
-turn the same integral into a combination of exponential-integral terms
-(1/s2) e^{1/(s2 rho)} E1(1/(s2 rho)), which is also the closed form used
-for the two-antenna (1/2, 1) example.  The variance needs the analogous
-double integral over the MGF covariance.
+Its integrand has features at u ~ 1 and at u ~ 1/E{X} = 1/(rho
+sum sigma_l^2); expect_ln1p integrates over u*sqrt(E{X}) so that the
+quadrature map is centred between the two, which keeps the capacity
+accurate from rho = 1e-8 to 1e12.  With distinct variances, partial
+fractions turn the same integral into a combination of
+exponential-integral terms (1/s2) e^{1/(s2 rho)} E1(1/(s2 rho)), which
+is also the closed form used for the two-antenna (1/2, 1) example.
+
+The variance is still the double integral over the MGF covariance.
+logmoments.var_ln1p of the same gain MGF gives it in one dimension,
+but it stays the package's one cheap 2-D integral, which the tracing
+test of perfbench needs among its cheap operations.
 
 All functions take rho on a linear scale; only the CLI speaks dB.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import (QuadConfig, integrate_semi_infinite,
-                         integrate_semi_infinite_2d, require_converged)
+from .logmoments import expect_ln1p
+from .mgf import product_mgf, simo_gain_mgf
+from .quadrature import QuadConfig, integrate_semi_infinite_2d, require_converged
 from .special import exp_integral_e1_scaled
 
 __all__ = [
@@ -61,19 +69,9 @@ class SimoChannel:
 
 
 def ergodic_capacity(ch: SimoChannel, cfg: QuadConfig | None = None) -> float:
-    """Capacity in nats per channel use, by direct quadrature."""
-    sig = np.array(ch.sigma_sq)
-    rho = ch.rho
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        prod = np.ones_like(x)
-        for s in sig:
-            prod = prod * (1.0 + s * x)
-        return np.exp(-x / rho) * (prod - 1.0) / (prod * x)
-
-    return require_converged(integrate_semi_infinite(f, cfg),
-                             f"ergodic_capacity(sigma_sq={ch.sigma_sq}, rho={rho})")
+    """Capacity in nats per channel use: E{ln(1+X)} of the summed gain X."""
+    gain = product_mgf([simo_gain_mgf(s, ch.rho) for s in ch.sigma_sq])
+    return expect_ln1p(gain, cfg)
 
 
 def capacity_closed_form_example(rho: float) -> float:

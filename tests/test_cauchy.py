@@ -178,7 +178,9 @@ class TestPaperForm:
         assert abs(diff_entropy(model) - paper_entropy_2d(model)) <= 1e-9
 
     @pytest.mark.parametrize("alpha, m_exp", [(-0.5, 0.5), (-0.5, 500.0), (-0.8, 1.0),
-                                              (0.5, 1.2), (2.0, 0.7), (10.0, 3.0)])
+                                              (0.5, 1.2), (2.0, 0.7), (10.0, 3.0),
+                                              (-0.9, 1.0), (-0.95, 2.0), (-0.985, 0.5),
+                                              (-0.9999, 3.0)])
     def test_bracket_digamma_closed_form(self, alpha, m_exp):
         # with y = 1/(1+r) the bracket is int_0^1 y^alpha (1 - y^m)/(1 - y) dy
         closed = digamma(1.0 + alpha + m_exp) - digamma(1.0 + alpha)

@@ -235,9 +235,3 @@ class TestOutputPlumbing:
         a = run_cli(capsys, "kt", "--n-max", "12")
         b = run_cli(capsys, "kt", "--n-max", "12")
         assert a == b
-
-    def test_threaded_rows_identical(self, capsys, monkeypatch):
-        _, serial, _ = run_cli(capsys, "avs", "--n-max", "6")
-        monkeypatch.setenv("LOGINT_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, "avs", "--n-max", "6")
-        assert serial == threaded

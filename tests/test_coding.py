@@ -128,6 +128,15 @@ class TestPhiKernel:
             assert abs(float(d2) - fd2) <= 1e-5
 
 
+    def test_index_array_matches_scalar_calls(self):
+        t = np.array([-2.0, -0.3, 0.0])
+        letters = np.arange(3)[:, None]
+        stacked = phi_kernel(DMS3, 6, letters, t)
+        for k in range(3):
+            for got, want in zip(stacked, phi_kernel(DMS3, 6, k, t)):
+                np.testing.assert_array_equal(got[k], want)
+
+
 class TestPsiKernel:
     def test_normalization(self):
         v, _ = psi_kernel(DMS3, 5, 0, 2, 0.0, 0.0)
@@ -170,6 +179,16 @@ class TestPsiKernel:
     def test_same_letter_raises(self):
         with pytest.raises(SameLetterError):
             psi_kernel(BSS, 3, 1, 1, 0.0, 0.0)
+        with pytest.raises(SameLetterError):
+            psi_kernel(DMS3, 3, np.array([0, 1, 2]), np.array([1, 2, 2]), 0.0, 0.0)
+
+    def test_index_arrays_match_scalar_calls(self):
+        s, t = np.array([-1.5, -0.2, 0.0]), np.array([0.0, -0.7, -3.0])
+        i, j = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 1])
+        stacked = psi_kernel(DMS3, 6, i[:, None], j[:, None], s, t)
+        for k in range(4):
+            for got, want in zip(stacked, psi_kernel(DMS3, 6, i[k], j[k], s, t)):
+                np.testing.assert_array_equal(got[k], want)
 
 
 class TestEmpiricalMean:
@@ -220,6 +239,11 @@ class TestEmpiricalVar:
         mean, var = enumerate_empirical_entropy(DMS3, 12)
         assert abs(empirical_entropy_mean(DMS3, 12) - mean) <= 1e-9
         assert abs(empirical_entropy_var(DMS3, 12) - var) <= 1e-9
+
+    def test_enumeration_oracle_six_letters(self):
+        dms = DmsModel((0.05, 0.1, 0.15, 0.2, 0.22, 0.28))
+        _, var = enumerate_empirical_entropy(dms, 12)
+        assert abs(empirical_entropy_var(dms, 12) - var) <= 1e-9
 
     def test_nonnegative_and_decaying(self):
         v100 = empirical_entropy_var(BSS, 100, SWEEP_CFG)

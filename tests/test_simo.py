@@ -7,7 +7,7 @@ import pytest
 
 from logint.errors import DomainError
 from logint.oracles import McConfig, mc_simo
-from logint.quadrature import QuadConfig
+from logint.quadrature import QuadConfig, integrate_semi_infinite, require_converged
 from logint.simo import (RepeatedSigmaError, SimoChannel,
                          capacity_closed_form_example,
                          capacity_partial_fractions, capacity_variance,
@@ -34,6 +34,24 @@ class TestCapacity:
         quad = ergodic_capacity(SimoChannel(EXAMPLE, rho))
         closed = capacity_closed_form_example(rho)
         assert abs(quad - closed) <= 1e-8 * abs(closed)
+
+    @pytest.mark.parametrize("db", range(-80, 121, 20))
+    def test_closed_form_across_snr_scales(self, db):
+        rho = 10.0 ** (db / 10.0)
+        quad = ergodic_capacity(SimoChannel(EXAMPLE, rho))
+        closed = capacity_closed_form_example(rho)
+        assert abs(quad - closed) <= max(1e-8 * abs(closed), 1e-12)
+
+    @pytest.mark.parametrize("sigma_sq, rho", [(EXAMPLE, 0.3), (EXAMPLE, 50.0),
+                                               ((0.3, 0.9, 2.0), 3.0)])
+    def test_matches_paper_integrand(self, sigma_sq, rho):
+        # the paper's form int e^{-x/rho}/x (1 - prod_l 1/(1 + sigma_l^2 x)) dx
+        def f(x):
+            prod = np.prod([1.0 + s * x for s in sigma_sq], axis=0)
+            return np.exp(-x / rho) * (prod - 1.0) / (prod * x)
+
+        paper = require_converged(integrate_semi_infinite(f), "paper SIMO integrand")
+        assert abs(ergodic_capacity(SimoChannel(sigma_sq, rho)) - paper) <= 1e-9 * paper
 
     def test_matches_mc(self):
         rho = 2.0
