@@ -30,8 +30,9 @@ from .quadrature import QuadConfig, integrate_semi_infinite, require_converged
 
 LN2 = math.log(2.0)
 
-# noise floors of the large-n variance kernels sit above the default
-# tolerances; sweeps only need plotting-grade accuracy there anyway
+# noise floors of the large-n empirical-entropy variance kernels sit above
+# the default tolerances; the empent sweep only needs plotting-grade
+# accuracy there anyway
 _SWEEP_VAR_CFG = QuadConfig(rel_tol=1e-8, abs_tol=1e-10)
 
 
@@ -113,7 +114,7 @@ def cmd_simo(args) -> list:
         ch = simo.SimoChannel(sigma, rho)
         cap = simo.ergodic_capacity(ch) * cap_scale
         if args.with_variance:
-            var = simo.capacity_variance(ch, _SWEEP_VAR_CFG) * var_scale
+            var = simo.capacity_variance(ch) * var_scale
             return f"{db:g},{_fmt(cap, args.precision)},{_fmt(var, args.precision)}"
         return f"{db:g},{_fmt(cap, args.precision)}"
 

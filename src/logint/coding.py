@@ -247,13 +247,15 @@ def _bss_var_integrand(n: int):
 
 def _general_var_integrand(dms: DmsModel, n: int):
     # z(r, s, t) = sum_x phi''(x, r) + sum_{x != x'} psi_st(x, x', s, t),
-    # with letters (and ordered pairs of distinct letters) on axis 0
-    letters = np.arange(dms.alphabet_size)[:, None]
-    i, j = np.nonzero(letters != letters.T)
+    # with letters (and ordered pairs of distinct letters) on a leading
+    # axis in front of the node axes
+    letters = np.arange(dms.alphabet_size)
+    i, j = np.nonzero(letters[:, None] != letters)
 
     def z(r, s, t):
-        return (phi_kernel(dms, n, letters, r)[2].sum(axis=0)
-                + psi_kernel(dms, n, i[:, None], j[:, None], s, t)[1].sum(axis=0))
+        ax = (slice(None),) + (None,) * np.ndim(r)
+        return (phi_kernel(dms, n, letters[ax], r)[2].sum(axis=0)
+                + psi_kernel(dms, n, i[ax], j[ax], s, t)[1].sum(axis=0))
 
     z0 = z(0.0, 0.0, 0.0)
 
@@ -304,6 +306,9 @@ def kt_redundancy(dms: DmsModel, n: int, s_bias: float = 0.5,
     _check_n(n)
     if not (s_bias > 0.0):
         raise DomainError(f"s_bias must be > 0, got {s_bias}")
+    if n == 1:
+        # the first symbol is coded with Q = 1/K whatever the bias
+        return math.log(dms.alphabet_size) - dms.entropy()
     probs = np.array(dms.probs)
     big_k = float(len(probs))
     s2 = float(np.sum(probs ** 2))

@@ -18,16 +18,22 @@ broadcasting is accepted).  The origin is never sampled exactly; nodes
 below a small floor are clamped, so integrands only need a finite limit
 at 0+, not an explicit value there.
 
-Double integrals are iterated: the inner axis is integrated per outer
-node with tolerances tightened tenfold, so the outer error estimate
-remains meaningful.
+Double integrals are iterated, with tolerances tightened tenfold on the
+inner axis so the outer error estimate remains meaningful.  The inner
+integrals at all 30 nodes of an outer panel pair run as one batch: each
+step bisects the worst panel of every unfinished inner integral, and
+all those panels are scored in one integrand call and one row-wise
+Kronrod/Gauss product.  Every inner integral still makes the decisions
+a lone 1-D integral would make.  A 2-D integrand f(u, v) receives two
+float arrays of one shape (u repeated along each row of inner nodes)
+and must work elementwise.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,6 +73,16 @@ def _from_unit(t):
     ts = np.where(t > 0.0, t, 1.0)
     u = np.where(t > 0.0, (1.0 - ts) / ts, _U_CAP)
     return np.minimum(np.maximum(u, ORIGIN_FLOOR), _U_CAP)
+
+
+def _on_unit(f, t):
+    """f(u) at u = u(t), times the map's Jacobian 1/t^2."""
+    u = _from_unit(t)
+    y = np.broadcast_to(np.asarray(f(u), dtype=float), u.shape)
+    # two-stage division delays overflow of the 1/t^2 Jacobian; the
+    # where() keeps 0 * inf from producing NaN at rounded endpoints
+    ts = np.where(t > 0.0, t, 1.0)
+    return np.where(y == 0.0, 0.0, (y / ts) / ts)
 
 
 @dataclass(frozen=True)
@@ -156,6 +172,9 @@ _WG[1::2] = [
 
 _50EPS = 50.0 * np.finfo(float).eps
 
+# both rules as the columns of one matrix, for scoring many panels at once
+_KG = np.stack([_WK, _WG], axis=1)
+
 
 def _score(y, h: float):
     k15 = h * float(_WK @ y)
@@ -174,6 +193,24 @@ def _score(y, h: float):
     if floor > 0.0:
         err = max(err, floor)
     return k15, err
+
+
+def _score_rows(y, h):
+    """_score for each row of y ([P, 15]) with half-widths h ([P])."""
+    p = h.size
+    # lanes with h = 0 or resasc = 0 are discarded below, and a ratio
+    # that overflows saturates through min(1, inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kg = y @ _KG
+        k15 = h * kg[:, 0]
+        err = np.abs(k15 - h * kg[:, 1])
+        mean = np.where(h > 0.0, k15 / (2.0 * h), 0.0)
+        ka = np.abs(np.concatenate([y, y - mean[:, None]])) @ _KG
+        resabs = h * ka[:p, 0]
+        resasc = h * ka[p:, 0]
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return k15, np.maximum(err, _50EPS * resabs)
 
 
 def _panel_pair(g, a: float, mid: float, b: float, axis: str):
@@ -236,6 +273,93 @@ def _adaptive(g, a: float, b: float, cfg: QuadConfig, axis: str) -> QuadResult:
         splits += 1
 
 
+def _adaptive_rows(g, abs_tol, rel_tol: float, max_subdivisions: int, axis: str):
+    """_adaptive on [0, 1] for abs_tol.size integrals at once.
+
+    g(rows, x) returns the integrands numbered rows at the nodes x, an
+    array of shape [len(rows), 30].  Each step bisects the worst panel of
+    every unfinished integral in one call to g.  Each integral keeps
+    _adaptive's rules with its own abs_tol: heap order (largest error,
+    then oldest panel), frozen panels, running totals confirmed by fsum,
+    and the subdivision budget.  Returns arrays of values, error
+    estimates, subdivisions used and convergence flags.
+    """
+    n = abs_tol.size
+    # slot j of row i holds panel number j of integral i, so argmax, which
+    # picks the first of equal keys, breaks ties as the heap does; the slot
+    # of a bisected panel keeps value and error 0, so fsum over a row
+    # gives the integral's exact totals
+    cap = min(32, 2 * max_subdivisions)
+    lo, hi, val, err = (np.zeros((n, cap)) for _ in range(4))
+    key = np.full((n, cap), -np.inf)  # error of each panel still in the heap
+    total_v, total_e = np.zeros(n), np.zeros(n)
+    splits = np.zeros(n, dtype=np.int64)
+    converged = np.zeros(n, dtype=bool)
+    live = np.ones(n, dtype=bool)
+
+    def within(rows):
+        return total_e[rows] <= np.maximum(abs_tol[rows], rel_tol * np.abs(total_v[rows]))
+
+    def exact_totals(rows):
+        for i in rows:
+            total_v[i], total_e[i] = math.fsum(val[i]), math.fsum(err[i])
+
+    # the first step bisects every root, which counts as a subdivision
+    rows = np.arange(n)
+    pa, pb, pval, perr = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    while True:
+        if rows.size:
+            mid = 0.5 * (pa + pb)
+            h = 0.5 * np.stack([mid - pa, pb - mid], axis=1)
+            c = 0.5 * np.stack([pa + mid, mid + pb], axis=1)
+            x = (c[:, :, None] + h[:, :, None] * _XK).reshape(rows.size, 30)
+            y = g(rows, x)
+            if not np.isfinite(y).all():
+                bad = x[~np.isfinite(y)][0]
+                raise NonFiniteIntegrandError(float(_from_unit(np.asarray(bad))), axis=axis)
+            v, e = (a.reshape(-1, 2) for a in _score_rows(y.reshape(-1, 15), h.reshape(-1)))
+            total_v[rows] += (v[:, 0] + v[:, 1]) - pval
+            total_e[rows] += (e[:, 0] + e[:, 1]) - perr
+            if 2 * splits[rows].max() + 2 > lo.shape[1]:
+                extra = ((0, 0), (0, min(lo.shape[1], 2 * max_subdivisions - lo.shape[1])))
+                lo, hi, val, err = (np.pad(a, extra) for a in (lo, hi, val, err))
+                key = np.pad(key, extra, constant_values=-np.inf)
+            r2 = rows[:, None]
+            s2 = 2 * splits[rows, None] + np.arange(2)
+            lo[r2, s2] = np.stack([pa, mid], axis=1)
+            hi[r2, s2] = np.stack([mid, pb], axis=1)
+            val[r2, s2] = v
+            err[r2, s2] = e
+            key[r2, s2] = e
+            splits[rows] += 1
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            return total_v, total_e, splits, converged
+        near = rows[within(rows)]
+        exact_totals(near)
+        done = near[within(near)]
+        converged[done] = True
+        live[done] = False
+        rows = rows[live[rows]]
+        k = key[rows].argmax(axis=1)
+        spent = rows[(splits[rows] >= max_subdivisions) | (key[rows, k] == -np.inf)]
+        exact_totals(spent)
+        converged[spent] = within(spent)
+        live[spent] = False
+        k = k[live[rows]]
+        rows = rows[live[rows]]
+        pa, pb = lo[rows, k], hi[rows, k]
+        mid = 0.5 * (pa + pb)
+        key[rows, k] = -np.inf
+        # a panel too narrow to bisect stays in the totals, off the heap;
+        # its integral pops again at the next step
+        ok = (pa < mid) & (mid < pb)
+        rows, k, pa, pb = rows[ok], k[ok], pa[ok], pb[ok]
+        pval, perr = val[rows, k], err[rows, k]
+        val[rows, k] = 0.0
+        err[rows, k] = 0.0
+
+
 def integrate_semi_infinite(f: Callable, cfg: QuadConfig | None = None,
                             _axis: str = "") -> QuadResult:
     """Integrate f over [0, inf).
@@ -244,49 +368,52 @@ def integrate_semi_infinite(f: Callable, cfg: QuadConfig | None = None,
     integrable tail.  It is called with numpy arrays of abscissae.
     """
     cfg = QuadConfig() if cfg is None else cfg
+    return _adaptive(lambda t: _on_unit(f, t), 0.0, 1.0, cfg, _axis)
 
-    def g(t):
-        u = _from_unit(t)
-        y = np.broadcast_to(np.asarray(f(u), dtype=float), u.shape)
-        # two-stage division delays overflow of the 1/t^2 Jacobian; the
-        # where() keeps 0 * inf from producing NaN at rounded endpoints
-        ts = np.where(t > 0.0, t, 1.0)
-        return np.where(y == 0.0, 0.0, (y / ts) / ts)
 
-    return _adaptive(g, 0.0, 1.0, cfg, _axis)
+def _inner_integrals(f, us, cfg: QuadConfig):
+    """The inner integrals of f(u, .) at the outer nodes us, as one batch.
+
+    Returns the outer Jacobian (1+u)^2 at each node and _adaptive_rows'
+    arrays (value, error, subdivisions, converged).
+    """
+    jac = np.where(us < 1e150, (1.0 + np.minimum(us, 1e150)) ** 2, 1e300)
+    abs_tol = np.maximum(cfg.abs_tol / 10.0 / jac, 1e-305)
+
+    def g(rows, t):
+        u = np.repeat(us[rows, None], t.shape[1], axis=1)
+        return _on_unit(lambda v: f(u, v), t)
+
+    return jac, _adaptive_rows(g, abs_tol, cfg.rel_tol / 10.0, cfg.max_subdivisions, "inner")
 
 
 def integrate_semi_infinite_2d(f: Callable, cfg: QuadConfig | None = None) -> QuadResult:
     """Integrate f(u, v) over [0, inf)^2 by iterated 1-D quadrature.
 
-    The first argument is the outer variable (passed as a scalar), the
-    second the inner one (passed as an array); f must broadcast.  The
-    inner tolerance is tightened by a factor 10 so the returned error
-    estimate, which is the outer rule's, stays honest.  The inner
-    absolute tolerance is additionally divided by the outer Jacobian
-    (1+u)^2: far out on the outer axis the inner values are tiny, and
-    without this scaling they would "converge" instantly to pure noise
-    that the Jacobian then amplifies back to order one.
+    u is the outer variable, v the inner one.  f receives two float
+    arrays of the same shape, with u constant along each row of inner
+    nodes, and must work elementwise.  The inner integrals at the 30
+    nodes of an outer panel pair run as one batch (one call to f per
+    inner step), and each makes the decisions integrate_semi_infinite
+    would make on its own.  The inner tolerance is tightened by a factor
+    10 so the returned error estimate, which is the outer rule's, stays
+    honest.  The inner absolute tolerance is additionally divided by the
+    outer Jacobian (1+u)^2: far out on the outer axis the inner values
+    are tiny, and without this scaling they would "converge" instantly
+    to pure noise that the Jacobian then amplifies back to order one.
     """
     cfg = QuadConfig() if cfg is None else cfg
-    inner_rel = cfg.rel_tol / 10.0
     inner_uncert = 0.0
 
     def outer(us):
         nonlocal inner_uncert
-        out = np.empty_like(us)
-        for i, u in enumerate(us):
-            jac = (1.0 + u) ** 2 if u < 1e150 else 1e300
-            inner_abs = max(cfg.abs_tol / 10.0 / jac, 1e-305)
-            inner_cfg = replace(cfg, rel_tol=inner_rel, abs_tol=inner_abs)
-            r = integrate_semi_infinite(lambda v: f(u, v), inner_cfg, _axis="inner")
-            if not r.converged:
-                # the outer's panel weights sum to at most the unit
-                # interval, so unresolved inner error can shift the
-                # result by no more than its largest amplified estimate
-                inner_uncert = max(inner_uncert, r.error_estimate * jac)
-            out[i] = r.value
-        return out
+        jac, (value, error, _, converged) = _inner_integrals(f, us, cfg)
+        if not converged.all():
+            # the outer's panel weights sum to at most the unit
+            # interval, so unresolved inner error can shift the
+            # result by no more than its largest amplified estimate
+            inner_uncert = max(inner_uncert, float((error * jac)[~converged].max()))
+        return value
 
     res = integrate_semi_infinite(outer, cfg, _axis="outer")
     if inner_uncert > 0.0:

@@ -110,8 +110,9 @@ def capacity_partial_fractions(ch: SimoChannel) -> float:
     return total
 
 
-def capacity_variance(ch: SimoChannel, cfg: QuadConfig | None = None) -> float:
-    """Var{ln(1 + rho sum |h_l|^2)} in nats^2, by double quadrature."""
+def _variance_integrand(ch: SimoChannel):
+    # Cov(e^{-u(1+X)}, e^{-v(1+X)})/(uv) for the summed gain X, written
+    # in x = rho u and y = rho v
     sig = np.array(ch.sigma_sq)
     rho = ch.rho
 
@@ -124,5 +125,10 @@ def capacity_variance(ch: SimoChannel, cfg: QuadConfig | None = None) -> float:
             split = split * ((1.0 + sl * x) * (1.0 + sl * y))
         return np.exp(-s / rho) * (1.0 / joint - 1.0 / split) / (x * y)
 
-    return require_converged(integrate_semi_infinite_2d(f, cfg),
-                             f"capacity_variance(sigma_sq={ch.sigma_sq}, rho={rho})")
+    return f
+
+
+def capacity_variance(ch: SimoChannel, cfg: QuadConfig | None = None) -> float:
+    """Var{ln(1 + rho sum |h_l|^2)} in nats^2, by double quadrature."""
+    return require_converged(integrate_semi_infinite_2d(_variance_integrand(ch), cfg),
+                             f"capacity_variance(sigma_sq={ch.sigma_sq}, rho={ch.rho})")

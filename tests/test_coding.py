@@ -258,8 +258,15 @@ class TestEmpiricalVar:
 
 class TestKtRedundancy:
     def test_bss_n1_zero(self):
-        # first symbol coded with Q = 1/2 = P exactly
-        assert abs(kt_redundancy(BSS, 1, 0.5)) <= 1e-9
+        # first symbol coded with Q = 1/2 = P exactly, whatever the bias
+        for s in (0.5, 0.736, 2.0):
+            assert kt_redundancy(BSS, 1, s) == 0.0
+
+    def test_n1_is_ln_k_minus_entropy(self):
+        # the first symbol costs ln K nats; through the integral this
+        # source's value came back 1e-7 off, flagged converged
+        dms = DmsModel((0.18228730585542507, 0.7138314627118234, 0.10388123143275152))
+        assert abs(kt_redundancy(dms, 1, 0.736) - (math.log(3.0) - dms.entropy())) <= 1e-12
 
     def test_nonnegative_bss(self):
         for n in [1, 2, 3, 5, 10, 30, 100, 500, 2000, 5000]:

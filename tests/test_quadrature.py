@@ -1,12 +1,15 @@
 """Adaptive engine: known integrals, error contract, 2D consistency."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from logint import coding, simo
 from logint.errors import DomainError
-from logint.quadrature import (NonFiniteIntegrandError, QuadConfig,
+from logint.quadrature import (_XK, NonFiniteIntegrandError, QuadConfig,
+                               _from_unit, _inner_integrals,
                                integrate_semi_infinite,
                                integrate_semi_infinite_2d)
 
@@ -83,7 +86,7 @@ def test_2d_non_finite_tagged_with_axis():
     assert excinfo.value.axis == "inner"
 
     def g(u, v):
-        return (np.nan if u > 5.0 else 1.0) * np.exp(-(u + v))
+        return np.where(u > 5.0, np.nan, 1.0) * np.exp(-(u + v))
 
     with pytest.raises(NonFiniteIntegrandError) as excinfo:
         integrate_semi_infinite_2d(g)
@@ -112,6 +115,65 @@ def test_2d_unit_product():
     r = integrate_semi_infinite_2d(lambda u, v: np.exp(-(u + v)))
     assert r.converged
     assert abs(r.value - 1.0) <= 1e-11
+
+
+def test_2d_unit_product_call_count():
+    calls = []
+
+    def f(u, v):
+        calls.append(u.shape)
+        return np.exp(-(u + v))
+
+    integrate_semi_infinite_2d(f)
+    # one call per inner step of each outer panel pair, not one per node
+    assert len(calls) <= 40
+
+
+def _inner_cfg(cfg, u):
+    # the inner axis: rel_tol / 10, abs_tol / 10 over the outer Jacobian
+    return replace(cfg, rel_tol=cfg.rel_tol / 10.0,
+                   abs_tol=max(cfg.abs_tol / 10.0 / (1.0 + u) ** 2, 1e-305))
+
+
+@pytest.mark.parametrize("f", [
+    simo._variance_integrand(simo.SimoChannel((0.5, 1.0), 1000.0)),
+    coding._bss_var_integrand(97),
+    coding._general_var_integrand(coding.DmsModel((0.1, 0.2, 0.3, 0.15, 0.25)), 20),
+], ids=["capacity_variance", "bss_var", "general_var_k5"])
+def test_batched_inner_matches_scalar(f):
+    # the 30 outer nodes of the first outer panel pair
+    us = _from_unit(np.concatenate([0.25 + 0.25 * _XK, 0.75 + 0.25 * _XK]))
+    cfg = QuadConfig()
+    _, (value, error, splits, converged) = _inner_integrals(f, us, cfg)
+    for i, u in enumerate(us):
+        r = integrate_semi_infinite(lambda v: f(u, v), _inner_cfg(cfg, u))
+        assert splits[i] == r.subdivisions_used
+        assert converged[i] == r.converged
+        assert abs(value[i] - r.value) <= 10.0 * max(error[i], r.error_estimate)
+
+
+def test_2d_unconverged_inner_counts_in_error():
+    # a narrow bump on the inner axis that 6 subdivisions cannot resolve;
+    # the outer axis alone converges within that budget
+    cfg = QuadConfig(max_subdivisions=6)
+    bump = lambda v: np.exp(-(((v - 2.0) / 0.05) ** 2))
+    seen = set()
+
+    def f(u, v):
+        seen.update(np.unique(u).tolist())
+        return np.exp(-u) * bump(v)
+
+    r = integrate_semi_infinite_2d(f, cfg)
+    assert not r.converged
+    amplified = 0.0
+    for u in seen:
+        ri = integrate_semi_infinite(lambda v: math.exp(-u) * bump(v), _inner_cfg(cfg, u))
+        if not ri.converged:
+            amplified = max(amplified, ri.error_estimate * (1.0 + u) ** 2)
+    assert amplified > 0.0
+    assert r.error_estimate >= amplified
+    exact = 0.025 * math.sqrt(math.pi) * (1.0 + math.erf(40.0))
+    assert abs(r.value - exact) <= r.error_estimate
 
 
 def test_2d_gamma_product():
